@@ -7,11 +7,11 @@
 //!   interleavings) under a latency-heavy variant of the town model: each
 //!   event waits out a fixed round-trip delay, standing in for the
 //!   Redis-backed sequencer hops of the paper's real replay deployment
-//!   (§4.3). Replay campaigns are latency-bound, so the pool overlaps the
+//!   (§4.3). Replay campaigns are latency-bound, so the workers overlap the
 //!   waits and the curve scales with workers even on a single core;
 //! * the 12-bug catalogue at a modest cap, without
 //!   `stop_on_first_violation`, where pruning keeps runs short and the
-//!   pool's dispenser overhead is most visible.
+//!   dispenser overhead is most visible.
 //!
 //! Every report is diffed against the single-worker reference before its
 //! timing is trusted: a speedup obtained by diverging from the sequential

@@ -5,9 +5,8 @@ use std::sync::Arc;
 
 /// A shared cancellation flag threaded through a replay campaign.
 ///
-/// Cancellation is *cooperative*: workers poll the token between runs
-/// (sequential replay) or between claimed chunks (pooled and service
-/// replay) — a chunk that has already been claimed always executes to
+/// Cancellation is *cooperative*: workers poll the token between claimed
+/// chunks — a chunk that has already been claimed always executes to
 /// completion, which keeps dispensed index ranges dense and the merge
 /// deterministic. A cancelled campaign surfaces as
 /// [`ErPiError::Cancelled`](crate::ErPiError::Cancelled) and discards its

@@ -17,9 +17,9 @@ pub enum ErPiError {
         cause: String,
     },
     /// A replay worker panicked — either a replica thread of the threaded
-    /// executor or a shard worker of the parallel replay pool. The panic is
-    /// contained: the session stays usable and partial shard results are
-    /// discarded.
+    /// executor or any worker slot of a replay campaign (including the
+    /// calling thread at one worker). The panic is contained: the session
+    /// stays usable and partial results are discarded.
     ExecutorPanic(String),
     /// The campaign was cancelled through its [`CancelToken`] before
     /// exploration finished. Partial results are discarded; the session

@@ -281,8 +281,8 @@ impl<S> CheckpointTrie<S> {
 /// [`InlineExecutor`](crate::InlineExecutor) — states, outcomes and
 /// `sim_us` — for any eviction schedule; the differential-equivalence
 /// harness (`tests/incremental_equivalence.rs`, `tests/incremental_props.rs`)
-/// pins this. Each executor owns its trie, so pooled replay gives one to
-/// each worker; the chunked dispenser keeps each worker's stream
+/// pins this. Each executor owns its trie, so replay gives one to each
+/// worker slot; the chunked dispenser keeps each slot's stream
 /// prefix-coherent.
 #[derive(Debug)]
 pub struct IncrementalExecutor<M: SystemModel> {

@@ -137,7 +137,6 @@ mod incremental;
 mod instrument;
 mod metrics;
 mod misconceptions;
-mod pool;
 mod profile;
 mod report;
 mod sanitizer;
@@ -159,11 +158,10 @@ pub use forensics::{
 pub use incremental::{CheckpointTrie, IncrementalExecutor, DEFAULT_CACHE_BUDGET};
 pub use metrics::SessionMetrics;
 pub use misconceptions::{misconception, Misconception};
-pub use pool::{ReplayPool, DEFAULT_CHUNK_SIZE};
 pub use profile::{CacheStats, FailureStats, ReplicaLoad, ResourceProfile, WorkerLoad};
 pub use report::{Report, RunRecord, Violation};
 pub use sanitizer::{IndependenceViolation, SanitizerReport};
-pub use service::ExecutorService;
+pub use service::{ExecutorService, DEFAULT_CHUNK_SIZE};
 pub use session::{LiveSystem, Session};
 pub use summary::{PrunerRow, SessionSummary};
 pub use system::{OpOutcome, SystemModel};

@@ -108,10 +108,10 @@ impl ResourceProfile {
         self.run_cost_us() as f64 * interleavings as f64 / 1e6
     }
 
-    /// Projects the campaign under the parallel replay pool: runs are
-    /// independent, so the ideal wall-clock bound is the sequential
+    /// Projects the campaign replayed on `workers` workers: runs are
+    /// independent, so the ideal wall-clock bound is the single-worker
     /// campaign divided across `workers` (the `fig_parallel` benchmark
-    /// measures how close the pool gets).
+    /// measures how close replay gets).
     ///
     /// # Panics
     ///
@@ -122,7 +122,7 @@ impl ResourceProfile {
     }
 }
 
-/// One replay worker's share of a pooled replay — how many interleavings
+/// One replay worker's share of a campaign — how many interleavings
 /// it claimed and how much simulated time they cost. Threaded into
 /// [`Report::worker_loads`](crate::Report::worker_loads) so the fig8/fig9/
 /// fig10 timing pipelines can attribute cost per worker; the *assignment*
@@ -130,7 +130,8 @@ impl ResourceProfile {
 /// workers are not.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct WorkerLoad {
-    /// Worker index within the pool (0-based).
+    /// Worker slot index (0-based; slot 0 is the calling thread of
+    /// `Session::replay`).
     pub worker: usize,
     /// Interleavings this worker replayed (including runs later discarded
     /// by the lowest-violation-wins merge).
@@ -182,8 +183,8 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Merges another worker's counters into this one (pooled replays sum
-    /// the per-worker tries).
+    /// Merges another worker's counters into this one (a campaign sums
+    /// its per-worker tries).
     pub fn absorb(&mut self, other: &CacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;

@@ -12,20 +12,19 @@ use er_pi_model::{
     EventId, FaultPlan, Interleaving, OpDescriptor, ReplicaId, Value, Workload, WorkloadBuilder,
 };
 use er_pi_telemetry::{
-    HitRateMonitor, Progress, ProgressSnapshot, Sink, Telemetry, COORDINATOR_TRACK,
-    HIT_RATE_THRESHOLD, HIT_RATE_WINDOW,
+    Progress, ProgressSnapshot, Sink, Telemetry, COORDINATOR_TRACK, HIT_RATE_THRESHOLD,
+    HIT_RATE_WINDOW,
 };
 
 use er_pi_analysis::{Diagnostic, TraceAnalysis};
 
 use crate::instrument::{Instrument, ProgressHook};
-use crate::service::CampaignParams;
+use crate::service::{replay_scoped, Campaign, CampaignOutput, Inputs, Knobs, Reseed};
 use crate::subsume::SubsumeSet;
 use crate::{
-    CacheStats, CancelToken, CheckContext, ConstraintsDir, CrossContext, ErPiError,
-    ExecutorService, FailureStats, IncrementalExecutor, InlineExecutor, OpOutcome, ReplayPool,
-    Report, ResourceProfile, RunRecord, SanitizerReport, SessionMetrics, SessionSummary,
-    SystemModel, TestSuite, TimeModel, Violation, WorkerLoad, DEFAULT_CACHE_BUDGET,
+    CacheStats, CancelToken, ConstraintsDir, CrossContext, ErPiError, ExecutorService,
+    FailureStats, OpOutcome, Report, ResourceProfile, RunRecord, SanitizerReport, SessionMetrics,
+    SessionSummary, SystemModel, TestSuite, TimeModel, Violation, WorkerLoad, DEFAULT_CACHE_BUDGET,
     DEFAULT_CHUNK_SIZE,
 };
 
@@ -137,13 +136,13 @@ impl<'m, M: SystemModel> LiveSystem<'m, M> {
 }
 
 /// An exploration source over any of the three modes.
-enum AnyExplorer<'w> {
-    ErPi(Box<ErPiExplorer<'w>>),
+enum AnyExplorer {
+    ErPi(Box<ErPiExplorer<'static>>),
     Dfs(DfsExplorer),
     Rand(RandomExplorer),
 }
 
-impl Iterator for AnyExplorer<'_> {
+impl Iterator for AnyExplorer {
     type Item = Interleaving;
 
     fn next(&mut self) -> Option<Interleaving> {
@@ -155,7 +154,7 @@ impl Iterator for AnyExplorer<'_> {
     }
 }
 
-impl AnyExplorer<'_> {
+impl AnyExplorer {
     fn mode_name(&self) -> &'static str {
         match self {
             AnyExplorer::ErPi(e) => e.name(),
@@ -203,6 +202,31 @@ impl AnyExplorer<'_> {
     }
 }
 
+/// Builds the exploration source for one replay: the mode's explorer
+/// lifted to the `orders × plans` product. With no fault configuration
+/// the product holds the single empty plan and is a transparent
+/// pass-through — emitted interleavings are bit-identical to the bare
+/// explorer's. The explorer owns its copy of the workload, so a campaign
+/// can outlive the call on the shared [`ExecutorService`] threads.
+fn explorer(
+    mode: ExploreMode,
+    workload: &Workload,
+    config: &PruningConfig,
+    plans: &[FaultPlan],
+) -> ProductExplorer {
+    let explorer = match mode {
+        ExploreMode::ErPi => {
+            AnyExplorer::ErPi(Box::new(ErPiExplorer::owned(workload.clone(), config)))
+        }
+        ExploreMode::Dfs => AnyExplorer::Dfs(DfsExplorer::new(workload)),
+        ExploreMode::Random { seed } => AnyExplorer::Rand(RandomExplorer::new(workload, seed)),
+    };
+    FaultProduct::new(explorer, plans.to_vec())
+}
+
+/// A replay's exploration source, before indexing.
+type ProductExplorer = FaultProduct<AnyExplorer>;
+
 /// One integration-testing session over a [`SystemModel`].
 ///
 /// Mirrors the paper's workflow: [`Session::record`] is State 1 (event
@@ -243,7 +267,7 @@ pub struct Session<M: SystemModel> {
     metrics: Option<SessionMetrics>,
 }
 
-/// What either replay strategy produces before the report is assembled.
+/// What a replay produces before the report is assembled.
 struct ReplayOutcome {
     mode: String,
     runs: Vec<RunRecord>,
@@ -271,7 +295,7 @@ impl<M: SystemModel> Session<M> {
             max_interleavings: 10_000,
             stop_on_first_violation: false,
             keep_runs: false,
-            workers: ReplayPool::available_workers(),
+            workers: ExecutorService::available_workers(),
             incremental: true,
             cache_budget: DEFAULT_CACHE_BUDGET,
             subsume: false,
@@ -348,17 +372,17 @@ impl<M: SystemModel> Session<M> {
     /// Sets the number of replay worker threads (default: all available
     /// cores; `0` also means "all available cores").
     ///
-    /// With more than one worker, [`Session::replay`] fans the pruned
-    /// interleaving set across a [`ReplayPool`]; the merged report is
-    /// deterministically identical to the sequential one (compare with
-    /// [`Report::diff`]). `1` forces the sequential in-situ path — the
-    /// reference the differential-equivalence suite checks the pool
-    /// against. Sessions watching a constraints directory replay
-    /// sequentially regardless, because State-4 ingestion is a feedback
-    /// loop on the live exploration order.
+    /// [`Session::replay`] runs the calling thread as worker 0 and spawns
+    /// the other `workers − 1`; every worker claims chunks of the pruned
+    /// interleaving set from one shared dispenser, and the merged report
+    /// is deterministically identical for every worker count (compare
+    /// with [`Report::diff`]). `1` replays everything on the calling
+    /// thread. Sessions watching a constraints directory replay on one
+    /// worker regardless, because State-4 ingestion is a feedback loop on
+    /// the live exploration order.
     pub fn set_workers(&mut self, workers: usize) -> &mut Self {
         self.workers = if workers == 0 {
-            ReplayPool::available_workers()
+            ExecutorService::available_workers()
         } else {
             workers
         };
@@ -396,8 +420,8 @@ impl<M: SystemModel> Session<M> {
 
     /// Sets the snapshot budget of the incremental executor, in
     /// [`state_size_hint`](SystemModel::state_size_hint)-accounted bytes
-    /// (default: [`DEFAULT_CACHE_BUDGET`], 64 MiB). Each pool worker gets
-    /// its own trie with this budget. A budget of `0` keeps incremental
+    /// (default: [`DEFAULT_CACHE_BUDGET`], 64 MiB). Each replay worker
+    /// gets its own trie with this budget. A budget of `0` keeps incremental
     /// bookkeeping but caches no snapshots — every run replays from
     /// scratch.
     ///
@@ -463,12 +487,14 @@ impl<M: SystemModel> Session<M> {
         self.sleep_sets
     }
 
-    /// Sets the pool dispenser's claim granularity, in interleavings per
-    /// claim (default: [`DEFAULT_CHUNK_SIZE`]; values below 1 are
-    /// clamped). Larger chunks amortize the dispenser lock and keep each
-    /// worker's stream prefix-coherent (hotter checkpoint tries); smaller
-    /// chunks react faster to stop-on-first-violation cancellation, which
-    /// is only checked between chunks. Sequential replay ignores it.
+    /// Sets the dispenser's claim granularity, in interleavings per claim
+    /// (default: [`DEFAULT_CHUNK_SIZE`]; values below 1 are clamped).
+    /// Larger chunks amortize the dispenser lock and keep each worker's
+    /// stream prefix-coherent (hotter checkpoint tries); smaller chunks
+    /// react faster to stop-on-first-violation cancellation, which is only
+    /// checked between chunks. A session watching a constraints directory
+    /// claims one interleaving at a time regardless, so State-4 polls land
+    /// on exact run counts.
     pub fn set_chunk_size(&mut self, chunk: usize) -> &mut Self {
         self.chunk_size = chunk.max(1);
         self
@@ -596,9 +622,8 @@ impl<M: SystemModel> Session<M> {
 
     /// Attaches a cooperative [`CancelToken`] to every subsequent replay.
     ///
-    /// Cancellation is checked between runs (sequential strategy) or
-    /// between claimed chunks (pooled and service strategies): tripping
-    /// the token makes the in-flight replay stop at the next boundary and
+    /// Cancellation is checked between claimed chunks: tripping the token
+    /// makes the in-flight replay stop at the next boundary and
     /// return [`ErPiError::Cancelled`], discarding its partial results.
     /// The session stays usable — replace or clear the token and replay
     /// again. The campaign server trips a per-campaign token from its
@@ -639,8 +664,9 @@ impl<M: SystemModel> Session<M> {
     ///
     /// Fault plans are part of run identity — they enter interleaving
     /// fingerprints, dedup, persistence, and the checkpoint-trie keys — so
-    /// pooled, incremental, and sequential replays of the same plan list
-    /// produce byte-identical reports ([`Report::diff`] returns `None`).
+    /// incremental and scratch replays of the same plan list, at any
+    /// worker count, produce byte-identical reports ([`Report::diff`]
+    /// returns `None`).
     ///
     /// Takes precedence over [`Session::set_fault_space`]. An empty list
     /// (or neither setter called) keeps the fault-free pipeline
@@ -698,97 +724,43 @@ impl<M: SystemModel> Session<M> {
             .ok_or(ErPiError::NothingRecorded)
     }
 
-    /// Builds the exploration source for one replay: the mode's explorer
-    /// lifted to the `orders × plans` product. With no fault configuration
-    /// the product holds the single empty plan and is a transparent
-    /// pass-through — emitted interleavings are bit-identical to the bare
-    /// explorer's.
-    fn build_explorer<'w>(
-        &self,
-        workload: &'w Workload,
-        config: &PruningConfig,
-        plans: &[FaultPlan],
-    ) -> FaultProduct<AnyExplorer<'w>> {
-        let explorer = match self.mode {
-            ExploreMode::ErPi => AnyExplorer::ErPi(Box::new(ErPiExplorer::new(workload, config))),
-            ExploreMode::Dfs => AnyExplorer::Dfs(DfsExplorer::new(workload)),
-            ExploreMode::Random { seed } => AnyExplorer::Rand(RandomExplorer::new(workload, seed)),
-        };
-        FaultProduct::new(explorer, plans.to_vec())
-    }
-
-    /// [`Session::build_explorer`] with an owned workload: the `'static`
-    /// source a campaign needs to outlive this call on the shared
-    /// [`ExecutorService`] threads. Emits bit-identical interleavings —
-    /// [`ErPiExplorer::owned`] is the same explorer over a `Cow::Owned`
-    /// workload, and the other two modes never borrowed it to begin with.
-    fn build_explorer_owned(
-        &self,
-        workload: &Workload,
-        config: &PruningConfig,
-        plans: &[FaultPlan],
-    ) -> FaultProduct<AnyExplorer<'static>> {
-        let explorer = match self.mode {
-            ExploreMode::ErPi => {
-                AnyExplorer::ErPi(Box::new(ErPiExplorer::owned(workload.clone(), config)))
-            }
-            ExploreMode::Dfs => AnyExplorer::Dfs(DfsExplorer::new(workload)),
-            ExploreMode::Random { seed } => AnyExplorer::Rand(RandomExplorer::new(workload, seed)),
-        };
-        FaultProduct::new(explorer, plans.to_vec())
-    }
-
     /// Replays the recorded workload's interleavings and checks `suite`
     /// after each one — States 2–4 of the paper's workflow.
     ///
-    /// With the session's worker count above one (the default is all
-    /// available cores, see [`Session::set_workers`]), the pruned set is
-    /// fanned across a [`ReplayPool`]; the merged report is
-    /// deterministically identical to a single-worker replay.
+    /// The calling thread replays as slot 0 of the campaign, joined by
+    /// `workers − 1` scoped threads (the default is all available cores,
+    /// see [`Session::set_workers`]); the merged report is
+    /// deterministically identical for every worker count.
     ///
     /// # Errors
     ///
     /// [`ErPiError::NothingRecorded`] without a prior
     /// [`Session::record`]/[`Session::set_workload`];
     /// [`ErPiError::Constraints`] if a constraints file is malformed;
-    /// [`ErPiError::ExecutorPanic`] if the model panics inside a pooled
-    /// replay worker (the session stays usable).
+    /// [`ErPiError::ExecutorPanic`] if the model panics during replay, on
+    /// any worker (the session stays usable); [`ErPiError::Cancelled`] if
+    /// the session's [cancel token](Session::set_cancel_token) trips
+    /// mid-campaign.
     pub fn replay(&mut self, suite: &TestSuite<M::State>) -> Result<Report, ErPiError>
     where
         M: Sync,
         M::State: Send + Sync,
     {
         let workload = self.workload.clone().ok_or(ErPiError::NothingRecorded)?;
-        let started = Instant::now();
-        let slots = if self.workers > 1 && self.constraints.is_none() {
-            self.workers
-        } else {
+        // State-4 ingestion is a feedback loop on the live exploration
+        // order, so a watched constraints directory pins a single slot.
+        let workers = if self.constraints.is_some() {
             1
-        };
-        let instrument = self.build_instrument(&workload, slots);
-        let (diagnostics, mut effective) = self.prepare_replay(&workload)?;
-
-        // Constraint watching is a feedback loop on the live exploration
-        // order (State 4 → State 2), so it pins the sequential strategy.
-        let outcome = if self.workers > 1 && self.constraints.is_none() {
-            self.replay_pooled(&workload, &effective, suite, &instrument)?
         } else {
-            self.replay_sequential(&workload, &mut effective, suite, &instrument)?
+            self.workers
         };
-
-        Ok(self.finish_replay(
-            &workload,
-            &effective,
-            suite,
-            &instrument,
-            started,
-            outcome,
-            diagnostics,
-        ))
+        self.run_replay(&workload, suite, workers, |inputs, campaign, reseed| {
+            replay_scoped(inputs, campaign, workers, reseed)
+        })
     }
 
     /// Replays the recorded workload on a shared [`ExecutorService`]
-    /// instead of a private [`ReplayPool`]: the campaign is queued at
+    /// instead of the session's own threads: the campaign is queued at
     /// `priority` (lower is more urgent) and its chunks are multiplexed
     /// over the service's process-wide worker threads alongside every
     /// co-scheduled campaign. The merged report is deterministically
@@ -800,14 +772,12 @@ impl<M: SystemModel> Session<M> {
     /// campaign to threads that outlive this call, hence the stronger
     /// bounds (`M: Clone + Send + Sync + 'static`). A watched constraints
     /// directory is polled once before generation (as always) but not
-    /// between runs — State-4 live ingestion stays a sequential-replay
+    /// between runs — State-4 live ingestion stays a [`Session::replay`]
     /// feature.
     ///
     /// # Errors
     ///
-    /// Everything [`Session::replay`] returns, plus
-    /// [`ErPiError::Cancelled`] if the session's
-    /// [cancel token](Session::set_cancel_token) trips mid-campaign.
+    /// Everything [`Session::replay`] returns.
     pub fn replay_on(
         &mut self,
         service: &ExecutorService,
@@ -819,13 +789,138 @@ impl<M: SystemModel> Session<M> {
         M::State: Send + Sync,
     {
         let workload = self.workload.clone().ok_or(ErPiError::NothingRecorded)?;
-        let started = Instant::now();
-        let instrument = self.build_instrument(&workload, service.workers());
-        let (diagnostics, effective) = self.prepare_replay(&workload)?;
-        let outcome =
-            self.replay_service(service, priority, &workload, &effective, suite, &instrument)?;
-        Ok(self.finish_replay(
+        self.run_replay(
             &workload,
+            suite,
+            service.workers(),
+            |inputs, campaign, _| service.run_campaign(inputs, campaign, priority),
+        )
+    }
+
+    /// The one replay body behind [`Session::replay`] and
+    /// [`Session::replay_on`]: builds the exploration source, lets `drive`
+    /// replay the campaign over `slots` worker slots, and re-derives the
+    /// deterministic explorer counters. `drive` gets the State-4 reseed
+    /// hook when a constraints directory is watched; `replay_on` ignores
+    /// it.
+    fn run_replay(
+        &mut self,
+        workload: &Workload,
+        suite: &TestSuite<M::State>,
+        slots: usize,
+        drive: impl FnOnce(
+            &Inputs<'_, M>,
+            Campaign<M::State, ProductExplorer>,
+            Option<&mut Reseed<'_, ProductExplorer>>,
+        )
+            -> Result<(CampaignOutput, IndexedSource<ProductExplorer>), ErPiError>,
+    ) -> Result<Report, ErPiError> {
+        let started = Instant::now();
+        let instrument = self.build_instrument(workload, slots);
+        let (diagnostics, mut effective) = self.prepare_replay(workload)?;
+        let plans = self.resolve_fault_plans(workload);
+        let mut explorer_live = explorer(self.mode, workload, &effective, &plans);
+        if instrument.telemetry.is_active() {
+            explorer_live.inner_mut().enable_timing();
+        }
+        if let Some(progress) = &instrument.progress {
+            explorer_live
+                .inner_mut()
+                .set_sleep_tally(progress.sleep_tally());
+        }
+        let mode = explorer_live.inner().mode_name().to_owned();
+        let campaign = Campaign::new(
+            Knobs {
+                stop_on_first_violation: self.stop_on_first_violation,
+                incremental_budget: self.incremental.then_some(self.cache_budget),
+                subsume: self.subsume.then(|| Arc::new(SubsumeSet::new())),
+                chunk_size: self.chunk_size,
+                instrument: instrument.clone(),
+                cancel: self.cancel.clone(),
+            },
+            IndexedSource::new(explorer_live, self.max_interleavings),
+        );
+        let inputs = Inputs {
+            model: &self.model,
+            workload,
+            time: &self.time,
+            suite,
+        };
+
+        // State 4: periodically ingest runtime constraints and regenerate
+        // the (pruned) interleavings; the source's dedup set skips
+        // everything already replayed.
+        let watching = self.constraints.is_some();
+        let (explore_mode, poll_every) = (self.mode, self.constraint_poll_every);
+        let (constraints, config) = (&mut self.constraints, &mut self.config);
+        let mut poll = |dispensed: usize| {
+            let Some(dir) = constraints.as_mut() else {
+                return Ok(None);
+            };
+            if !dispensed.is_multiple_of(poll_every) {
+                return Ok(None);
+            }
+            let Some(newer) = dir.poll()? else {
+                return Ok(None);
+            };
+            config.absorb(newer.clone());
+            effective.absorb(newer);
+            Ok(matches!(explore_mode, ExploreMode::ErPi)
+                .then(|| explorer(explore_mode, workload, &effective, &plans)))
+        };
+        let reseed = watching.then_some(&mut poll as &mut Reseed<'_, _>);
+        let (out, source) = drive(&inputs, campaign, reseed)?;
+
+        // Deterministic explorer counters: when slots dispensed past the
+        // retained runs (a stop-on-first cancellation), the live
+        // explorer's pruning/retry counters depend on scheduling. Re-derive
+        // them by dispensing exactly the retained run count from a fresh
+        // explorer — cheap (generation only) and bit-equal to what one
+        // slot replaying in order observes. An explorer with no counters
+        // to speak of (no prune stats, no retries so far) has nothing to
+        // re-derive.
+        let live = source.inner().inner();
+        let counted = live.stats().is_some() || live.wasted() > 0;
+        let (prune_stats, wasted) = if counted && source.dispensed() > out.runs.len() {
+            let mut redo = IndexedSource::new(
+                explorer(self.mode, workload, &effective, &plans),
+                self.max_interleavings,
+            );
+            for _ in 0..out.runs.len() {
+                redo.next();
+            }
+            (redo.inner().inner().stats(), redo.inner().inner().wasted())
+        } else {
+            (live.stats(), live.wasted())
+        };
+
+        // The persisted store mirrors the retained runs in dispatch order.
+        let store = self.persist.then(|| {
+            let mut store = InterleavingStore::new(workload);
+            for run in &out.runs {
+                store.store(&run.interleaving);
+            }
+            store
+        });
+
+        let outcome = ReplayOutcome {
+            mode,
+            stopped_early: out.stopped || source.truncated(),
+            runs: out.runs,
+            violations: out.violations,
+            first_violation_at: out.first_violation_at,
+            sim_us: out.sim_us,
+            prune_stats,
+            wasted,
+            store,
+            worker_loads: out.worker_loads,
+            cache_stats: out.cache_stats,
+            // Timings come from the live explorer: they are wall time, so
+            // — unlike the counters above — what was really spent.
+            filter_timings: live.timings(),
+        };
+        Ok(self.finish_replay(
+            workload,
             &effective,
             suite,
             &instrument,
@@ -1000,9 +1095,9 @@ impl<M: SystemModel> Session<M> {
 
         // Headless surfacing of the degraded-cache warning (the sink-side
         // `HitRateMonitor` sees it live; this covers campaigns with no
-        // sink attached, across every replay strategy). Advisories are
-        // scheduling-dependent — pooled attribution depends on which
-        // worker got which run — so they live OUTSIDE the byte-identical
+        // sink attached, on both entry points). Advisories are
+        // scheduling-dependent — with several workers, attribution depends
+        // on which worker got which run — so they live OUTSIDE the byte-identical
         // report contract, like `wall_ms` and `worker_loads`.
         let mut advisories: Vec<String> = Vec::new();
         if self.incremental {
@@ -1117,368 +1212,6 @@ impl<M: SystemModel> Session<M> {
             cursor += dur_us.max(1);
         }
     }
-
-    /// The in-situ sequential strategy: one interleaving at a time, with
-    /// State-4 constraint ingestion and regeneration between runs. This is
-    /// the reference semantics the parallel pool is checked against.
-    fn replay_sequential(
-        &mut self,
-        workload: &Workload,
-        effective: &mut PruningConfig,
-        suite: &TestSuite<M::State>,
-        instrument: &Instrument,
-    ) -> Result<ReplayOutcome, ErPiError> {
-        let telemetry = instrument.telemetry.clone();
-        let plans = self.resolve_fault_plans(workload);
-        let mut explorer = self.build_explorer(workload, effective, &plans);
-        if telemetry.is_active() {
-            explorer.inner_mut().enable_timing();
-        }
-        if let Some(progress) = &instrument.progress {
-            explorer.inner_mut().set_sleep_tally(progress.sleep_tally());
-        }
-        let mode = explorer.inner().mode_name().to_owned();
-        let mut source = IndexedSource::new(explorer, self.max_interleavings);
-        let mut runs: Vec<RunRecord> = Vec::new();
-        let mut violations: Vec<Violation> = Vec::new();
-        let mut first_violation_at = None;
-        let mut sim_us: u64 = 0;
-        let mut stopped_by_violation = false;
-        let mut store = self.persist.then(|| InterleavingStore::new(workload));
-        // Subsumption without incremental replay still rides on the
-        // incremental executor — with a zero snapshot budget, so the trie
-        // caches nothing and only the explored-set layer is live.
-        let mut incremental = (self.incremental || self.subsume).then(|| {
-            let budget = if self.incremental {
-                self.cache_budget
-            } else {
-                0
-            };
-            let mut e = IncrementalExecutor::<M>::new(budget);
-            if self.subsume {
-                e.enable_subsumption(Arc::new(SubsumeSet::new()));
-            }
-            e
-        });
-        let mut hit_monitor = (self.incremental
-            && (telemetry.is_active() || self.metrics.is_some()))
-        .then(HitRateMonitor::default);
-
-        while let Some((run_index, il)) = source.next() {
-            // Cooperative cancellation: between runs only, so a cancelled
-            // campaign never leaves a half-executed interleaving behind.
-            if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                return Err(ErPiError::Cancelled);
-            }
-            if let Some(store) = store.as_mut() {
-                store.store(&il);
-            }
-
-            // State 3: checkpointed execution of one interleaving. Fresh
-            // states per run are the checkpoint/reset of §4.3; the
-            // incremental executor reaches the same states by resuming
-            // from the deepest cached prefix (byte-identical execution —
-            // see the correctness argument in `incremental`).
-            let t_run = telemetry.start();
-            let exec = match incremental.as_mut() {
-                Some(executor) => executor.execute(&self.model, workload, &il, &self.time),
-                None => InlineExecutor::execute(&self.model, workload, &il, &self.time),
-            };
-            let resumed_depth = incremental.as_ref().map(|e| e.last_resume_depth());
-            sim_us += exec.sim_us;
-            let observations: Vec<Value> =
-                exec.states.iter().map(|s| self.model.observe(s)).collect();
-
-            let ctx = CheckContext {
-                states: &exec.states,
-                observations: &observations,
-                interleaving: &il,
-                outcomes: &exec.outcomes,
-            };
-            let t_check = telemetry.start();
-            let mut violated = false;
-            for assertion in suite.assertions() {
-                if let Err(message) = assertion.check(&ctx) {
-                    violated = true;
-                    violations.push(Violation {
-                        run: Some(run_index),
-                        assertion: assertion.name().to_owned(),
-                        message,
-                        interleaving: Some(il.clone()),
-                    });
-                }
-            }
-            if violated && first_violation_at.is_none() {
-                first_violation_at = Some(run_index);
-            }
-            if telemetry.is_active() {
-                telemetry.span_since(
-                    COORDINATOR_TRACK,
-                    "check",
-                    t_check,
-                    vec![
-                        ("assertions", suite.assertions().len().into()),
-                        ("violated", violated.into()),
-                    ],
-                );
-                telemetry.span_since(
-                    COORDINATOR_TRACK,
-                    "run",
-                    t_run,
-                    vec![
-                        ("index", run_index.into()),
-                        ("resumed_depth", resumed_depth.unwrap_or(0).into()),
-                        ("sim_us", exec.sim_us.into()),
-                        ("violated", violated.into()),
-                        ("failed_ops", ctx_failed(&exec.outcomes).into()),
-                    ],
-                );
-            }
-            // No hit/miss attribution from a zero-budget subsumption-only
-            // executor — it always resumes from depth 0.
-            let cache_hit = self.incremental.then(|| resumed_depth.unwrap_or(0) > 0);
-            if let (Some(monitor), Some(hit)) = (hit_monitor.as_mut(), cache_hit) {
-                if let Some(message) = monitor.record(hit) {
-                    if let Some(metrics) = &self.metrics {
-                        metrics.warn_low_hit_rate();
-                    }
-                    telemetry.warn(COORDINATOR_TRACK, "cache:low-hit-rate", message);
-                }
-            }
-            let subsumed = incremental
-                .as_ref()
-                .is_some_and(IncrementalExecutor::last_run_subsumed);
-            instrument.run_done(0, cache_hit, subsumed);
-
-            runs.push(RunRecord {
-                interleaving: il,
-                observations,
-                failed_ops: ctx_failed(&exec.outcomes),
-                sim_us: exec.sim_us,
-            });
-
-            if violated && self.stop_on_first_violation {
-                stopped_by_violation = true;
-                break;
-            }
-
-            // State 4: periodically ingest runtime constraints and
-            // regenerate the (pruned) interleavings; the source's dedup
-            // set skips everything already replayed.
-            if let Some(constraints) = self.constraints.as_mut() {
-                if runs.len().is_multiple_of(self.constraint_poll_every) {
-                    if let Some(newer) = constraints.poll()? {
-                        self.config.absorb(newer.clone());
-                        effective.absorb(newer);
-                        if matches!(self.mode, ExploreMode::ErPi) {
-                            source.reseed(self.build_explorer(workload, effective, &plans));
-                        }
-                    }
-                }
-            }
-        }
-
-        let stopped_early = stopped_by_violation || source.truncated();
-        let explorer = source.inner().inner();
-        Ok(ReplayOutcome {
-            mode,
-            runs,
-            violations,
-            first_violation_at,
-            sim_us,
-            stopped_early,
-            prune_stats: explorer.stats(),
-            wasted: explorer.wasted(),
-            store,
-            worker_loads: Vec::new(),
-            cache_stats: incremental.map(|e| e.stats()),
-            filter_timings: explorer.timings(),
-        })
-    }
-
-    /// The pooled strategy: the same dispensing discipline, with execution
-    /// fanned across [`ReplayPool`] workers and results merged back into
-    /// exploration order.
-    fn replay_pooled(
-        &self,
-        workload: &Workload,
-        effective: &PruningConfig,
-        suite: &TestSuite<M::State>,
-        instrument: &Instrument,
-    ) -> Result<ReplayOutcome, ErPiError>
-    where
-        M: Sync,
-        M::State: Send + Sync,
-    {
-        let plans = self.resolve_fault_plans(workload);
-        let mut explorer = self.build_explorer(workload, effective, &plans);
-        if instrument.telemetry.is_active() {
-            explorer.inner_mut().enable_timing();
-        }
-        if let Some(progress) = &instrument.progress {
-            explorer.inner_mut().set_sleep_tally(progress.sleep_tally());
-        }
-        let mode = explorer.inner().mode_name().to_owned();
-        let mut source = IndexedSource::new(explorer, self.max_interleavings);
-        let pool = ReplayPool::new(self.workers);
-        let subsume = self.subsume.then(|| Arc::new(SubsumeSet::new()));
-        let out = pool.run(
-            &self.model,
-            workload,
-            &mut source,
-            &self.time,
-            suite,
-            self.stop_on_first_violation,
-            self.incremental.then_some(self.cache_budget),
-            subsume.as_ref(),
-            self.chunk_size,
-            instrument,
-            self.cancel.as_ref(),
-        )?;
-
-        // Deterministic explorer counters: after a cooperative cancellation
-        // the pool has usually dispensed past the sequential stop point, so
-        // the live explorer's pruning/retry counters depend on scheduling.
-        // Re-derive them by dispensing exactly the retained run count from
-        // a fresh explorer — cheap (generation only) and bit-equal to what
-        // the sequential strategy would have observed.
-        let (prune_stats, wasted) = if out.cancelled {
-            let mut redo = IndexedSource::new(
-                self.build_explorer(workload, effective, &plans),
-                self.max_interleavings,
-            );
-            for _ in 0..out.runs.len() {
-                redo.next();
-            }
-            (redo.inner().inner().stats(), redo.inner().inner().wasted())
-        } else {
-            (
-                source.inner().inner().stats(),
-                source.inner().inner().wasted(),
-            )
-        };
-
-        // The persisted store mirrors the retained runs in dispatch order.
-        let store = self.persist.then(|| {
-            let mut store = InterleavingStore::new(workload);
-            for run in &out.runs {
-                store.store(&run.interleaving);
-            }
-            store
-        });
-
-        // Timings come from the *live* explorer: they are wall time, so —
-        // unlike the counters above — the dispensed-past-the-stop-point
-        // measurement is exactly what was really spent.
-        let filter_timings = source.inner().inner().timings();
-
-        Ok(ReplayOutcome {
-            mode,
-            stopped_early: out.cancelled || source.truncated(),
-            runs: out.runs,
-            violations: out.violations,
-            first_violation_at: out.first_violation_at,
-            sim_us: out.sim_us,
-            prune_stats,
-            wasted,
-            store,
-            worker_loads: out.worker_loads,
-            cache_stats: out.cache_stats,
-            filter_timings,
-        })
-    }
-
-    /// The service strategy: [`Session::replay_pooled`] with the worker
-    /// threads replaced by a shared, process-wide [`ExecutorService`]. The
-    /// campaign owns its exploration source; the service multiplexes chunk
-    /// claims over its slots and hands the source back for the same
-    /// post-processing the pooled path does.
-    fn replay_service(
-        &self,
-        service: &ExecutorService,
-        priority: u8,
-        workload: &Workload,
-        effective: &PruningConfig,
-        suite: &TestSuite<M::State>,
-        instrument: &Instrument,
-    ) -> Result<ReplayOutcome, ErPiError>
-    where
-        M: Clone + Send + Sync + 'static,
-        M::State: Send + Sync,
-    {
-        let plans = self.resolve_fault_plans(workload);
-        let mut explorer = self.build_explorer_owned(workload, effective, &plans);
-        if instrument.telemetry.is_active() {
-            explorer.inner_mut().enable_timing();
-        }
-        if let Some(progress) = &instrument.progress {
-            explorer.inner_mut().set_sleep_tally(progress.sleep_tally());
-        }
-        let mode = explorer.inner().mode_name().to_owned();
-        let source = IndexedSource::new(explorer, self.max_interleavings);
-        let params = CampaignParams {
-            model: self.model.clone(),
-            workload: workload.clone(),
-            time: self.time.clone(),
-            suite: suite.clone(),
-            stop_on_first_violation: self.stop_on_first_violation,
-            incremental_budget: self.incremental.then_some(self.cache_budget),
-            subsume: self.subsume.then(|| Arc::new(SubsumeSet::new())),
-            chunk_size: self.chunk_size,
-            instrument: instrument.clone(),
-            cancel: self.cancel.clone(),
-        };
-        let (out, source) = service.run_campaign(params, source, priority)?;
-
-        // Deterministic explorer counters after a stop-on-first
-        // cancellation: same re-derivation as the pooled path (see
-        // `replay_pooled`).
-        let (prune_stats, wasted) = if out.cancelled {
-            let mut redo = IndexedSource::new(
-                self.build_explorer(workload, effective, &plans),
-                self.max_interleavings,
-            );
-            for _ in 0..out.runs.len() {
-                redo.next();
-            }
-            (redo.inner().inner().stats(), redo.inner().inner().wasted())
-        } else {
-            (
-                source.inner().inner().stats(),
-                source.inner().inner().wasted(),
-            )
-        };
-
-        // The persisted store mirrors the retained runs in dispatch order.
-        let store = self.persist.then(|| {
-            let mut store = InterleavingStore::new(workload);
-            for run in &out.runs {
-                store.store(&run.interleaving);
-            }
-            store
-        });
-
-        let filter_timings = source.inner().inner().timings();
-
-        Ok(ReplayOutcome {
-            mode,
-            stopped_early: out.cancelled || source.truncated(),
-            runs: out.runs,
-            violations: out.violations,
-            first_violation_at: out.first_violation_at,
-            sim_us: out.sim_us,
-            prune_stats,
-            wasted,
-            store,
-            worker_loads: out.worker_loads,
-            cache_stats: out.cache_stats,
-            filter_timings,
-        })
-    }
-}
-
-fn ctx_failed(outcomes: &[OpOutcome]) -> usize {
-    outcomes.iter().filter(|o| o.is_failed()).count()
 }
 
 #[cfg(test)]
@@ -1488,6 +1221,7 @@ mod tests {
 
     /// Two-replica register with fused sync: replica states are integers;
     /// `set(v)` writes locally, sync copies the source value over.
+    #[derive(Clone)]
     struct RegApp;
 
     impl SystemModel for RegApp {
@@ -1608,26 +1342,34 @@ mod tests {
 
     #[test]
     fn stop_on_first_violation_halts_early() {
-        let mut session = Session::new(RegApp);
-        record_two_writes(&mut session);
-        session.set_mode(ExploreMode::Dfs);
-        session.set_stop_on_first_violation(true);
-        let suite = TestSuite::new().with(Assertion::replicas_converge("conv"));
-        let report = session.replay(&suite).unwrap();
-        assert_eq!(report.violations.len(), 1);
-        assert!(report.stopped_early);
-        assert_eq!(
-            report.first_violation_at.map(|i| i + 1),
-            Some(report.explored)
-        );
+        for workers in [1, 4] {
+            let mut session = Session::new(RegApp);
+            record_two_writes(&mut session);
+            session.set_mode(ExploreMode::Dfs).set_workers(workers);
+            session.set_stop_on_first_violation(true);
+            let suite = TestSuite::new().with(Assertion::replicas_converge("conv"));
+            let report = session.replay(&suite).unwrap();
+            assert_eq!(report.violations.len(), 1);
+            assert!(report.stopped_early);
+            assert_eq!(
+                report.first_violation_at.map(|i| i + 1),
+                Some(report.explored)
+            );
+            if workers == 1 {
+                // One slot skips the rest of its chunk past the violation:
+                // it executes exactly the retained runs.
+                let executed: usize = report.worker_loads.iter().map(|l| l.runs).sum();
+                assert_eq!(executed, report.explored);
+            }
+        }
     }
 
     #[test]
     fn incremental_default_diffs_clean_against_scratch() {
         // `set_incremental` defaults on; its report must be byte-identical
-        // to the scratch executor's, sequentially and pooled, with the
-        // cache counters present only on the incremental side.
-        for workers in [1, 4] {
+        // to the scratch executor's at every worker count, with the cache
+        // counters present only on the incremental side.
+        for workers in [1, 2, 4] {
             let mut incremental = Session::new(RegApp);
             record_two_writes(&mut incremental);
             incremental.set_mode(ExploreMode::Dfs).set_workers(workers);
@@ -1756,26 +1498,67 @@ mod tests {
 
     #[test]
     fn pooled_telemetry_lands_runs_on_worker_tracks() {
-        let sink = Arc::new(er_pi_telemetry::MemorySink::new());
-        let mut session = Session::new(RegApp);
-        session.set_telemetry(sink.clone());
-        record_two_writes(&mut session);
-        session.set_mode(ExploreMode::Dfs).set_workers(2);
-        let report = session.replay(&TestSuite::new()).unwrap();
-        assert_eq!(report.explored, 24);
+        for workers in [1, 2] {
+            let sink = Arc::new(er_pi_telemetry::MemorySink::new());
+            let mut session = Session::new(RegApp);
+            session.set_telemetry(sink.clone());
+            record_two_writes(&mut session);
+            session.set_mode(ExploreMode::Dfs).set_workers(workers);
+            let report = session.replay(&TestSuite::new()).unwrap();
+            assert_eq!(report.explored, 24);
 
-        let events = sink.events();
-        let run_tracks: std::collections::BTreeSet<u32> = events
-            .iter()
-            .filter(|e| e.name == "run")
-            .map(|e| e.track)
-            .collect();
-        assert!(
-            run_tracks.iter().all(|&t| t >= 1),
-            "pooled runs live on worker tracks, got {run_tracks:?}"
-        );
-        assert!(events.iter().any(|e| e.name == "claim"));
-        assert_eq!(report.session_summary.workers.len(), 2);
+            let events = sink.events();
+            let run_tracks: std::collections::BTreeSet<u32> = events
+                .iter()
+                .filter(|e| e.name == "run")
+                .map(|e| e.track)
+                .collect();
+            assert!(
+                run_tracks.iter().all(|&t| t >= 1),
+                "runs live on worker tracks, got {run_tracks:?}"
+            );
+            assert!(events.iter().any(|e| e.name == "claim"));
+            assert_eq!(report.session_summary.workers.len(), workers);
+        }
+    }
+
+    #[test]
+    fn low_hit_rate_warns_on_every_entry_point() {
+        // A zero snapshot budget never resumes, so every slot that
+        // replays a full monitor window warns — whether the slots belong
+        // to the session or to a shared service. 7! = 5 040 runs give
+        // some slot at least 2 520 of them even at two workers.
+        let service = ExecutorService::new(1);
+        for on_service in [false, true] {
+            for workers in [1, 2] {
+                if on_service && workers == 2 {
+                    continue;
+                }
+                let sink = Arc::new(er_pi_telemetry::MemorySink::new());
+                let mut session = Session::new(RegApp);
+                session.record(|sys| {
+                    for i in 0..7 {
+                        sys.invoke(ReplicaId::new(i % 2), "set", [Value::from(i64::from(i))]);
+                    }
+                });
+                session
+                    .set_mode(ExploreMode::Dfs)
+                    .set_workers(workers)
+                    .set_cache_budget(0)
+                    .set_telemetry(sink.clone());
+                let report = if on_service {
+                    session.replay_on(&service, 0, &TestSuite::new())
+                } else {
+                    session.replay(&TestSuite::new())
+                }
+                .unwrap();
+                assert_eq!(report.explored, 5_040);
+                assert!(
+                    sink.events().iter().any(|e| e.name == "cache:low-hit-rate"),
+                    "on_service={on_service} workers={workers}: no low-hit-rate warning"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,16 +1,14 @@
 //! Shardable, indexed iteration over the pruned interleaving set.
 //!
-//! [`IndexedSource`] is the single dispensing discipline shared by the
-//! sequential replay loop and the parallel [`ReplayPool`]: it pulls
-//! candidates from any explorer, drops fingerprint duplicates (which appear
-//! after a State-4 regeneration), enforces the interleaving cap, and stamps
-//! every surviving interleaving with a stable, strictly increasing
-//! *exploration index*. Because both execution strategies draw from the same
-//! source, the index assigned to an interleaving is independent of how many
-//! workers later replay it — the invariant the differential-equivalence
-//! suite pins down.
-//!
-//! [`ReplayPool`]: https://docs.rs/er-pi
+//! [`IndexedSource`] is the dispenser of the engine's replay loop (the
+//! chunk loop behind `Session::replay` and `ExecutorService` in the `er-pi`
+//! crate): it pulls candidates from any explorer, drops fingerprint
+//! duplicates (which appear after a State-4 regeneration), enforces the
+//! interleaving cap, and stamps every surviving interleaving with a stable,
+//! strictly increasing *exploration index*. Because every worker draws from
+//! the same source, the index assigned to an interleaving is independent of
+//! how many workers later replay it — the invariant the
+//! differential-equivalence suite pins down.
 
 use std::collections::HashSet;
 
@@ -72,8 +70,8 @@ impl<I: Iterator<Item = Interleaving>> IndexedSource<I> {
     }
 
     /// Claims up to `max` *contiguous* interleavings in one call — the
-    /// parallel pool's dispensing unit. Chunked (not strided) hand-out is
-    /// what lets per-worker prefix locality survive the pool: consecutive
+    /// replay loop's dispensing unit. Chunked (not strided) hand-out is
+    /// what lets per-worker prefix locality survive parallel replay: consecutive
     /// interleavings from a lexicographic explorer share long prefixes, so
     /// a worker that owns a contiguous index range keeps resuming from its
     /// own checkpoint trie instead of fighting over interleavings whose
@@ -230,7 +228,7 @@ mod tests {
 
     #[test]
     fn chunked_union_equals_pruned_set() {
-        // The dispensing discipline the pool relies on: chunks hand out
+        // The dispensing discipline the replay loop relies on: chunks hand out
         // contiguous index ranges, partition the dispensed space, and their
         // union is exactly the pruned set an item-at-a-time scan yields.
         let w = workload(5);

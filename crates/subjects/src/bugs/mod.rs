@@ -260,7 +260,7 @@ struct RunPlan {
     mode: ExploreMode,
     cap: usize,
     stop_on_first_violation: bool,
-    /// Replay worker threads; `1` pins the sequential reference path.
+    /// Replay worker threads; `1` replays on the calling thread alone.
     workers: usize,
     /// Prefix-sharing incremental replay; `false` pins the scratch
     /// executor the incremental-equivalence suite compares against.
@@ -279,7 +279,7 @@ struct RunPlan {
     subsumption: bool,
     /// Sleep-set (DPOR-style) pruning over unit permutations.
     sleep_sets: bool,
-    /// Pool dispenser claim granularity, in interleavings.
+    /// Dispenser claim granularity, in interleavings.
     chunk_size: usize,
     /// Fleet-metrics handle to attach. Like telemetry, metrics are
     /// write-only: the [`Report`] must be byte-identical with or without
@@ -306,7 +306,7 @@ pub struct ReplayOptions {
     pub cap: usize,
     /// Stop at the first violating interleaving.
     pub stop_on_first_violation: bool,
-    /// Replay worker threads; `1` pins the sequential reference path,
+    /// Replay worker threads; `1` replays on the calling thread alone,
     /// `0` uses all available cores.
     pub workers: usize,
     /// Prefix-sharing incremental replay; `false` pins the scratch
@@ -323,7 +323,7 @@ pub struct ReplayOptions {
     /// Sleep-set pruning ([`Session::set_sleep_sets`]); violation sets
     /// stay identical, replayed representatives may differ.
     pub sleep_sets: bool,
-    /// Pool dispenser claim granularity
+    /// Dispenser claim granularity
     /// ([`Session::set_chunk_size`]; default
     /// [`DEFAULT_CHUNK_SIZE`](er_pi::DEFAULT_CHUNK_SIZE)).
     pub chunk_size: usize,
@@ -413,7 +413,7 @@ where
 }
 
 /// [`run_report`] with the replay submitted to a shared [`ExecutorService`]
-/// instead of a session-private pool — the campaign-server path. Returns
+/// instead of the session's own threads — the campaign-server path. Returns
 /// `Err` (instead of panicking) because service campaigns are routinely
 /// cancelled from outside.
 #[allow(clippy::too_many_arguments)]
@@ -682,7 +682,7 @@ impl Bug {
 
     /// Replays the bug's workload in ER-π mode and returns the full
     /// [`Report`] — the entry point of the differential-equivalence test
-    /// harness. `workers == 1` pins the sequential reference path;
+    /// harness. `workers == 1` replays on the calling thread alone;
     /// `workers == 0` uses all available cores. Reports produced at
     /// different worker counts must satisfy [`Report::diff`] `== None`.
     pub fn replay_report(

@@ -5,8 +5,9 @@ use std::fmt::Write as _;
 
 /// The track an event is attributed to — one row in the rendered trace.
 ///
-/// Track 0 is the coordinating thread (the session's own thread); pool
-/// workers get one track each, starting at 1. [`ChromeTraceSink`] renders
+/// Track 0 is the coordinating thread (the session's own thread); replay
+/// worker slots get one track each, starting at 1 — including slot 0,
+/// which the session's own thread drives. [`ChromeTraceSink`] renders
 /// every track as its own named timeline row, so a replay campaign shows up
 /// as one flamegraph lane per worker.
 ///
@@ -16,7 +17,7 @@ pub type TrackId = u32;
 /// The coordinating thread's track (recording, enumeration, summary).
 pub const COORDINATOR_TRACK: TrackId = 0;
 
-/// The track of pool worker `worker` (0-based worker index).
+/// The track of replay worker slot `worker` (0-based slot index).
 pub const fn worker_track(worker: usize) -> TrackId {
     worker as TrackId + 1
 }

@@ -16,7 +16,7 @@
 //! * [`JsonLinesSink`] — one flat JSON object per event, one per line;
 //!   machine-readable campaign logs.
 //! * [`ChromeTraceSink`] — Chrome trace-event JSON with one named track
-//!   per pool worker; open the output in `chrome://tracing` or
+//!   per replay worker; open the output in `chrome://tracing` or
 //!   [Perfetto](https://ui.perfetto.dev) to see a replay campaign as a
 //!   flamegraph.
 //!

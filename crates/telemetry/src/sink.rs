@@ -9,7 +9,7 @@ use crate::{EventKind, TelemetryEvent};
 
 /// A consumer of telemetry events.
 ///
-/// Sinks are shared across the session thread and every pool worker, so all
+/// Sinks are shared across the session thread and every replay worker, so all
 /// methods take `&self`; implementations serialize internally (the provided
 /// sinks hold a [`Mutex`] around their writer). Emission sites gate on
 /// [`Sink::enabled`] *once per handle construction* — a sink that returns
@@ -199,7 +199,7 @@ impl<W: Write + Send> Sink for JsonLinesSink<W> {
 /// `chrome://tracing` and [Perfetto](https://ui.perfetto.dev)).
 ///
 /// * every [`TrackId`] becomes its own named thread row (`pid` 1, `tid` =
-///   track), so a pooled replay renders as one flamegraph lane per worker;
+///   track), so a replay renders as one flamegraph lane per worker;
 /// * spans become complete (`"ph":"X"`) events, instants become `"ph":"i"`,
 ///   counters become `"ph":"C"`, warnings become instant events in the
 ///   `warning` category;

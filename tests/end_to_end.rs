@@ -131,6 +131,80 @@ fn constraints_directory_prunes_mid_session() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The 10-event town recording: long enough (several hundred ER-π
+/// interleavings) that a constraints directory is polled mid-replay.
+fn record_town10(session: &mut Session<TownApp>) -> EventId {
+    let mut transmit = EventId::new(0);
+    session.record(|app| {
+        let ev1 = app.invoke(r(0), "add", [Value::from("otb")]);
+        app.sync(r(0), r(1), ev1);
+        let ev2 = app.invoke(r(1), "add", [Value::from("ph")]);
+        app.sync(r(1), r(0), ev2);
+        let ev3 = app.invoke(r(1), "remove", [Value::from("otb")]);
+        app.sync(r(1), r(0), ev3);
+        let ev4 = app.invoke(r(0), "add", [Value::from("pl")]);
+        app.sync(r(0), r(1), ev4);
+        app.invoke(r(1), "remove", [Value::from("ph")]);
+        transmit = app.external(r(0), "transmit");
+    });
+    transmit
+}
+
+/// FNV-1a over `text`: a stable fingerprint for pinning a whole report.
+fn fnv1a64(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn constraints_written_mid_replay_reseed_the_exploration() {
+    // State 4 as a live feedback loop: the rule file appears only after
+    // the campaign has started (written from the progress hook at run 50),
+    // is ingested at the run-100 poll, and regenerates the rest of the
+    // exploration under the tightened configuration.
+    let dir = std::env::temp_dir().join(format!("er-pi-e2e-live-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut session = Session::new(TownApp::new(2));
+    let transmit = record_town10(&mut session);
+    let rule = PruningConfig::default().with_failed_ops(FailedOpsRule {
+        predecessors: vec![EventId::new(0)],
+        successors: vec![EventId::new(8), transmit],
+    });
+    let rule_json = serde_json::to_string(&rule).unwrap();
+    let rule_path = dir.join("rule.json");
+    session.watch_constraints(&dir);
+    let written = std::sync::atomic::AtomicBool::new(false);
+    session.set_progress_hook(50, move |snap| {
+        if snap.runs_done == 50 && !written.swap(true, std::sync::atomic::Ordering::Relaxed) {
+            std::fs::write(&rule_path, &rule_json).unwrap();
+        }
+    });
+    let report = session.replay(&TownApp::invariant()).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The ingested rule now sits in the session's configuration, so a
+    // second replay prunes from the start; a fresh session never sees it.
+    let pruned = session.replay(&TownApp::invariant()).unwrap();
+    let mut fresh = Session::new(TownApp::new(2));
+    record_town10(&mut fresh);
+    let unpruned = fresh.replay(&TownApp::invariant()).unwrap();
+    assert!(
+        pruned.explored < report.explored && report.explored < unpruned.explored,
+        "{} < {} < {}",
+        pruned.explored,
+        report.explored,
+        unpruned.explored
+    );
+    assert_eq!(report.explored, 640, "explored");
+    assert_eq!(
+        fnv1a64(&report.canonical_json()),
+        10_038_849_006_555_114_915,
+        "canonical_json"
+    );
+}
+
 #[test]
 fn recording_executes_against_the_real_subject() {
     // The LiveSystem is not a mock: recorded calls run the actual RDL.

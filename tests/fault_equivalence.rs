@@ -1,6 +1,6 @@
 //! Differential-equivalence harness for fault-schedule replay.
 //!
-//! Fault plans are part of run identity, so the pool/incremental contract
+//! Fault plans are part of run identity, so the worker-count/incremental contract
 //! extends to them: for a fixed workload and [`FaultPlan`] set, the merged
 //! [`Report`] must be byte-identical across worker counts, exploration
 //! modes, and executor kinds. These tests pin that matrix — and the reason

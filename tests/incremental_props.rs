@@ -6,7 +6,7 @@
 //! schedules — budget 0 (every run from scratch), budget ∞ (nothing ever
 //! evicted) and a small random budget (constant eviction churn) — and
 //! require the merged report to diff clean against the scratch executor
-//! every time, sequentially and under the pool.
+//! every time, at one worker and at several.
 
 use proptest::prelude::*;
 
@@ -140,8 +140,8 @@ proptest! {
         }
     }
 
-    /// Same property under the pool: per-worker tries with arbitrary
-    /// eviction churn still merge into the scratch sequential report.
+    /// Same property at several workers: per-worker tries with arbitrary
+    /// eviction churn still merge into the scratch one-worker report.
     #[test]
     fn pooled_eviction_schedule_never_changes_the_report(
         steps in arb_steps(),

@@ -1,7 +1,7 @@
-//! Differential-equivalence harness for the parallel replay pool.
+//! Differential-equivalence harness for parallel replay.
 //!
-//! The pool's contract is that a merged parallel [`Report`] is
-//! *byte-identical* to the sequential one — same runs, same order, same
+//! The replay loop's contract is that a merged parallel [`Report`] is
+//! *byte-identical* to the one-worker one — same runs, same order, same
 //! violations, same simulated time — for any worker count. These tests pin
 //! that contract across the entire 12-bug catalogue, with and without
 //! `stop_on_first_violation`, at 1, 2 and 4 workers. `Report::diff`
@@ -13,8 +13,8 @@ use er_pi_subjects::Bug;
 const CAP: usize = 10_000;
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// `workers == 1` must take the sequential code path and therefore be the
-/// reference: its report must diff clean against a plain sequential session.
+/// `workers == 1` replays on the calling thread alone and is the reference:
+/// its report must diff clean against a second one-worker session.
 #[test]
 fn one_worker_is_the_sequential_path() {
     for bug in Bug::catalogue() {

@@ -1,4 +1,4 @@
-//! Property tests for the parallel replay pool on randomized workloads.
+//! Property tests for parallel replay on randomized workloads.
 //!
 //! Three properties: (a) the union of work the shards executed is exactly
 //! the sequential pruned interleaving set — nothing dropped, nothing
@@ -164,32 +164,36 @@ proptest! {
         }
     }
 
-    /// A panicking model in one shard surfaces as `ExecutorPanic`; the
-    /// session is not poisoned — a benign workload on the same session
-    /// replays fine afterwards.
+    /// A panicking model in one shard surfaces as `ExecutorPanic` at any
+    /// worker count — including one, where the calling thread replays
+    /// alone; the session is not poisoned — a benign workload on the same
+    /// session replays fine afterwards.
     #[test]
     fn shard_panic_is_contained(steps in arb_steps()) {
-        let mut bomb = Workload::builder();
-        bomb.update(ReplicaId::new(0), "set", [Value::from(1)]);
-        bomb.update(ReplicaId::new(1), "bomb", [Value::from(0)]);
-        let bomb = bomb.build();
+        for workers in [1, 4] {
+            let mut bomb = Workload::builder();
+            bomb.update(ReplicaId::new(0), "set", [Value::from(1)]);
+            bomb.update(ReplicaId::new(1), "bomb", [Value::from(0)]);
+            let bomb = bomb.build();
 
-        let mut session = Session::new(FuseMachine);
-        session.set_workload(bomb);
-        session.set_mode(ExploreMode::Dfs);
-        session.set_workers(4);
-        let err = session.replay(&TestSuite::new());
-        prop_assert!(
-            matches!(err, Err(ErPiError::ExecutorPanic(_))),
-            "expected ExecutorPanic, got {:?}",
-            err.map(|r| r.explored)
-        );
+            let mut session = Session::new(FuseMachine);
+            session.set_workload(bomb);
+            session.set_mode(ExploreMode::Dfs);
+            session.set_workers(workers);
+            let err = session.replay(&TestSuite::new());
+            prop_assert!(
+                matches!(err, Err(ErPiError::ExecutorPanic(_))),
+                "workers={}: expected ExecutorPanic, got {:?}",
+                workers,
+                err.map(|r| r.explored)
+            );
 
-        // Same session, benign randomized workload: still usable.
-        let benign = build_workload(&steps);
-        session.set_workload(benign);
-        let report = session.replay(&TestSuite::new());
-        prop_assert!(report.is_ok(), "session poisoned after shard panic");
-        prop_assert!(report.unwrap().explored > 0);
+            // Same session, benign randomized workload: still usable.
+            let benign = build_workload(&steps);
+            session.set_workload(benign);
+            let report = session.replay(&TestSuite::new());
+            prop_assert!(report.is_ok(), "workers={}: session poisoned after shard panic", workers);
+            prop_assert!(report.unwrap().explored > 0);
+        }
     }
 }

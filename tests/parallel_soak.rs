@@ -1,4 +1,4 @@
-//! Stress/soak test for the replay pool: a 10 000-interleaving synthetic
+//! Stress/soak test for parallel replay: a 10 000-interleaving synthetic
 //! workload at 8 workers must complete without deadlock, without losing a
 //! single run, and faster than the sequential scan.
 //!
